@@ -85,6 +85,13 @@ def parse_angle(text: str) -> float:
         raise InputError(f"cannot parse angle {text!r}") from ex
 
 
+def _angle_list(text) -> tuple[list[str], tuple[float, ...]]:
+    """Angle texts and their values, from a comma list or a sequence."""
+    if isinstance(text, str):
+        text = [a for a in text.split(",") if a.strip()]
+    return list(text), tuple(parse_angle(a) for a in text)
+
+
 def _probability(value, tolerance) -> Fraction:
     if isinstance(value, float):
         if tolerance is None:
@@ -318,14 +325,12 @@ def _preset_table(doc):
     preset = doc.get("preset") or {}
     name = preset.get("name")
     if name == "bell":
-        angle_text = preset.get("angles", ["0", "pi/3", "2pi/3"])
-        angles = tuple(parse_angle(a) for a in angle_text)
+        _, angles = _angle_list(preset.get("angles", ["0", "pi/3", "2pi/3"]))
         if not angles:
             raise InputError("the angle list is empty")
         return experiments.singlet_table(angles)
     if name == "simplified-bell":
-        angle_text = preset.get("angles", ["0", "pi/3"])
-        angles = tuple(parse_angle(a) for a in angle_text)
+        _, angles = _angle_list(preset.get("angles", ["0", "pi/3"]))
         if len(angles) != 2:
             raise InputError("simplified-bell takes exactly two angles")
         return experiments.singlet_table((angles[0],), angles)
@@ -420,11 +425,9 @@ def cmd_derive_inequalities(args) -> Report:
             angle_text = (doc.get("preset") or {}).get("angles")
         if angle_text is None:
             angle_text = ["0", "pi/3", "2pi/3"]
-        if isinstance(angle_text, str):
-            angle_text = [a for a in angle_text.split(",") if a.strip()]
-        if not angle_text:
+        _, angles = _angle_list(angle_text)
+        if not angles:
             raise InputError("the angle list is empty")
-        angles = tuple(parse_angle(a) for a in angle_text)
         scenario = experiments.bell_scenario(angles)
         layout = scenario.table.layout
         inequalities = experiments.bell_inequalities(scenario, method=args.method)
@@ -489,10 +492,9 @@ def _double_bell_report(args, command: str = "double-bell") -> Report:
     epsilon = as_fraction(args.epsilon) if args.epsilon is not None else Fraction(1, 10)
     if not 0 < epsilon <= Fraction(1, 2):
         raise InputError(f"epsilon must be in (0, 1/2], got {epsilon}")
-    angle_text = args.angles if args.angles is not None else "0,pi/3,2pi/3"
-    if isinstance(angle_text, str):
-        angle_text = [a for a in angle_text.split(",") if a.strip()]
-    angles = tuple(parse_angle(a) for a in angle_text)
+    angle_text, angles = _angle_list(
+        args.angles if args.angles is not None else "0,pi/3,2pi/3"
+    )
     if len(angles) != 3:
         raise InputError("the violation evidence needs exactly three angles")
 
@@ -504,13 +506,13 @@ def _double_bell_report(args, command: str = "double-bell") -> Report:
         )
     lorentz = not getattr(args, "no_lorentz_symmetry", False)
     try:
-        primed = experiments.build_simplified_bell(evidence, lorentz, epsilon)
-        unprimed = experiments.build_simplified_bell(evidence, lorentz, epsilon)
+        # SimplifiedBell is frozen, so one instance serves both experiments.
+        simplified = experiments.build_simplified_bell(evidence, lorentz, epsilon)
     except ValueError as ex:
         raise InputError(str(ex)) from ex
     net = experiments.build_double_bell_network(
-        primed=primed,
-        unprimed=unprimed,
+        primed=simplified,
+        unprimed=simplified,
         link_a=_gate(args.link_a, 2),
         link_b=_gate(args.link_b, 3),
     )
@@ -523,7 +525,7 @@ def _double_bell_report(args, command: str = "double-bell") -> Report:
     human = [
         f"violation evidence at angles {', '.join(angle_text)}:"
         f" min instance {format_fraction(vio.minimum)} (weak signal certified)",
-        f"channel weights per experiment: {_fraction_map(primed.channel.weights)}",
+        f"channel weights per experiment: {_fraction_map(simplified.channel.weights)}",
         f"links: A={net.link_a.label} (table {list(net.link_a.table)}),"
         f" B={net.link_b.label} (table {list(net.link_b.table)})",
         f"loop: {' -> '.join(verdict.loop_ports)} -> {verdict.loop_ports[0]}",
@@ -534,7 +536,7 @@ def _double_bell_report(args, command: str = "double-bell") -> Report:
         "verdict": status,
         "contradiction_probability": format_fraction(verdict.contradiction_probability),
         "violation_minimum": format_fraction(vio.minimum),
-        "channel": _fraction_map(primed.channel.weights),
+        "channel": _fraction_map(simplified.channel.weights),
         "links": {"A": net.link_a.label, "B": net.link_b.label},
         "factorized": net.factorized,
     }

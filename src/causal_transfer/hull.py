@@ -2,133 +2,104 @@
 
 Given a finite set of rational points, computes the facets of their convex
 hull relative to its affine hull, via the polar dual: the dual polytope's
-extreme rays are found with an incremental double description sweep, kept
-exact with fractions.Fraction throughout.  Intended for the small
-polytopes of admissible deterministic behaviours, not for bulk geometry.
+extreme rays are found with an incremental double description sweep
+(Motzkin et al. 1953; Fukuda & Prodon 1996).  The sweep runs on integers:
+halfspaces and rays are primitive integer vectors, and each ray carries the
+set of processed halfspaces it is tight on as an int bitmask, updated step
+by step.  Intended for the small polytopes of admissible deterministic
+behaviours, not for bulk geometry.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
 
-ZERO = Fraction(0)
+from . import linalg
+
 ONE = Fraction(1)
 
 
-def _dot(a, b) -> Fraction:
+def _dot(a, b):
     return sum(x * y for x, y in zip(a, b))
-
-
-def _scaled(vec, factor):
-    return tuple(v * factor for v in vec)
 
 
 def _sub(a, b):
     return tuple(x - y for x, y in zip(a, b))
 
 
-def _primitive(vec):
-    """Scale a rational vector to coprime integers, preserving direction."""
-    denom_lcm = 1
-    for v in vec:
-        denom_lcm = denom_lcm * v.denominator // gcd(denom_lcm, v.denominator)
-    ints = [int(v * denom_lcm) for v in vec]
-    g = 0
-    for v in ints:
-        g = gcd(g, abs(v))
-    if g == 0:
-        return tuple(Fraction(0) for _ in vec)
-    return tuple(Fraction(v, g) for v in ints)
-
-
-def _solve_square(matrix, rhs):
-    """Solve an n x n rational system by Gaussian elimination; None if singular."""
-    n = len(matrix)
-    m = [list(row) + [r] for row, r in zip(matrix, rhs)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if m[r][col] != ZERO), None)
-        if pivot is None:
-            return None
-        m[col], m[pivot] = m[pivot], m[col]
-        inv = m[col][col]
-        m[col] = [v / inv for v in m[col]]
-        for r in range(n):
-            if r != col and m[r][col] != ZERO:
-                factor = m[r][col]
-                m[r] = [v - factor * p for v, p in zip(m[r], m[col])]
-    return tuple(m[r][n] for r in range(n))
-
-
 def _affine_coordinates(points):
     """Coordinates of the points relative to a basis of their affine hull.
 
     Returns (coords, to_original) where to_original maps a linear
-    functional u over the reduced space to (coeffs, offset) with
-    u . coords(p) = coeffs . p + offset for every original point p.
+    functional u = y / s over the reduced space (y integer, s > 0) to
+    (coeffs, offset) with u . coords(p) = coeffs . p + offset for every
+    original point p.
     """
     origin = points[0]
     dim = len(origin)
+    echelon = linalg.Echelon()
     basis = []
-    echelon = []
     for p in points[1:]:
-        d = list(_sub(p, origin))
-        vec = list(d)
-        for piv_col, row in echelon:
-            if vec[piv_col] != ZERO:
-                factor = vec[piv_col]
-                vec = [v - factor * w for v, w in zip(vec, row)]
-        piv = next((c for c in range(dim) if vec[c] != ZERO), None)
-        if piv is not None:
-            echelon.append((piv, [v / vec[piv] for v in vec]))
-            basis.append(tuple(d))
+        d = _sub(p, origin)
+        if echelon.add(d):
+            basis.append(d)
+            if len(basis) == dim:
+                break
     r = len(basis)
     if r == 0:
         return [tuple()] * len(points), None
 
     # Left inverse G of the basis matrix M (columns = basis vectors):
-    # coords(p) = G (p - origin), with G = (M^T M)^(-1) M^T.
+    # coords(p) = G (p - origin), with G = (M^T M)^(-1) M^T, the solution
+    # of the Gram system (M^T M) G = M^T.  G and the points are then put
+    # over one denominator each, so that coordinates and functionals are
+    # integer dot products with a single division.
     gram = [[_dot(bi, bj) for bj in basis] for bi in basis]
-    g_rows = []
-    for k in range(r):
-        unit = [ONE if i == k else ZERO for i in range(r)]
-        col = _solve_square(gram, unit)
-        g_rows.append(col)
-    # G[i] = sum_k g_rows[i][k] * basis[k]  (an r x dim matrix)
-    G = [
-        tuple(sum(g_rows[i][k] * basis[k][c] for k in range(r)) for c in range(dim))
-        for i in range(r)
+    G = linalg.solve(gram, basis)
+    g_scale = linalg.common_denominator([v for row in G for v in row])
+    G = [linalg.scaled_integers(row, g_scale) for row in G]
+    p_scale = linalg.common_denominator([v for p in points for v in p])
+    ints = [linalg.scaled_integers(p, p_scale) for p in points]
+    o = ints[0]
+    coords = [
+        tuple(Fraction(_dot(row, _sub(p, o)), g_scale * p_scale) for row in G)
+        for p in ints
     ]
+    G_columns = list(zip(*G))
 
-    coords = [tuple(_dot(G[i], _sub(p, origin)) for i in range(r)) for p in points]
-
-    def to_original(u):
-        coeffs = tuple(sum(u[i] * G[i][c] for i in range(r)) for c in range(dim))
-        offset = -_dot(coeffs, origin)
+    def to_original(y, s):
+        lin = [_dot(y, col) for col in G_columns]
+        coeffs = tuple(Fraction(v, s * g_scale) for v in lin)
+        offset = Fraction(-_dot(lin, o), s * g_scale * p_scale)
         return coeffs, offset
 
     return coords, to_original
 
 
+def _eliminate(vec, piv, a, da):
+    """vec moved along piv onto the hyperplane a . x = 0 (da = a . piv)."""
+    f = _dot(a, vec)
+    if not f:
+        return vec
+    return linalg.primitive([da * v - f * w for v, w in zip(vec, piv)])
+
+
 def _extreme_rays(halfspaces, dim):
     """Extreme rays of the cone {x : a . x >= 0 for all a}, assumed pointed
-    and full-dimensional once all halfspaces are processed."""
+    and full-dimensional once all halfspaces are processed.
+
+    Halfspaces are integer vectors; rays come back as primitive integer
+    tuples.
+    """
     # Exhaust the lineality first: pick a spanning subset of constraint
     # normals and process them before the rest, so ray splitting only ever
     # happens on a pointed cone where the combinatorial adjacency test is
     # sound.
     order = []
     rest = []
-    echelon = []
+    echelon = linalg.Echelon()
     for a in halfspaces:
-        vec = list(a)
-        for piv_col, row in echelon:
-            if vec[piv_col] != ZERO:
-                factor = vec[piv_col]
-                vec = [v - factor * w for v, w in zip(vec, row)]
-        piv = next((c for c in range(dim) if vec[c] != ZERO), None)
-        if piv is not None and len(echelon) < dim:
-            echelon.append((piv, [v / vec[piv] for v in vec]))
+        if len(echelon) < dim and echelon.add(a):
             order.append(a)
         else:
             rest.append(a)
@@ -136,65 +107,69 @@ def _extreme_rays(halfspaces, dim):
         raise ValueError("cone is not pointed: constraint normals do not span")
     order += rest
 
-    lineality = [tuple(ONE if i == k else ZERO for i in range(dim)) for k in range(dim)]
-    rays: list[tuple[Fraction, ...]] = []
-    processed: list[tuple[Fraction, ...]] = []
+    lineality = [tuple(int(i == k) for i in range(dim)) for k in range(dim)]
+    # Ray -> bitmask of the processed halfspaces (bit k for order[k]) that
+    # are tight at it; insertion order is the ray order.
+    rays: dict[tuple[int, ...], int] = {}
 
-    for a in order:
-        piv_idx = next(
-            (k for k, l in enumerate(lineality) if _dot(a, l) != ZERO), None
-        )
+    for k, a in enumerate(order):
+        bit = 1 << k
+        piv_idx = next((i for i, l in enumerate(lineality) if _dot(a, l)), None)
         if piv_idx is not None:
             piv = lineality.pop(piv_idx)
-            if _dot(a, piv) < ZERO:
-                piv = _scaled(piv, -ONE)
             da = _dot(a, piv)
-            lineality = [
-                _primitive(_sub(l, _scaled(piv, _dot(a, l) / da))) for l in lineality
-            ]
-            lineality = [l for l in lineality if any(v != ZERO for v in l)]
-            rays = [
-                _primitive(_sub(r, _scaled(piv, _dot(a, r) / da))) for r in rays
-            ]
-            rays = [r for r in rays if any(v != ZERO for v in r)]
-            rays.append(_primitive(piv))
-            rays = list(dict.fromkeys(rays))
-        else:
-            vals = [_dot(a, r) for r in rays]
-            if all(v >= ZERO for v in vals):
-                processed.append(a)
+            if da < 0:
+                piv = tuple(-v for v in piv)
+                da = -da
+            lineality = [_eliminate(l, piv, a, da) for l in lineality]
+            lineality = [l for l in lineality if any(l)]
+            # Moving along a lineality direction keeps every earlier
+            # halfspace's value, and makes a tight; piv itself is tight at
+            # every earlier halfspace and positive on a.
+            moved = {}
+            for ray, zeros in rays.items():
+                ray = _eliminate(ray, piv, a, da)
+                if any(ray):
+                    moved.setdefault(ray, zeros | bit)
+            moved.setdefault(piv, bit - 1)
+            rays = moved
+            continue
+
+        vals = [_dot(a, ray) for ray in rays]
+        items = [
+            (ray, zeros | bit if v == 0 else zeros)
+            for (ray, zeros), v in zip(rays.items(), vals)
+        ]
+        zero_sets = [zeros for _, zeros in items]
+        negative = [i for i, v in enumerate(vals) if v < 0]
+        rays = {ray: zeros for (ray, zeros), v in zip(items, vals) if v >= 0}
+        for ip, (rp, zp) in enumerate(items):
+            vp = vals[ip]
+            if vp <= 0:
                 continue
-            zero_sets = [
-                frozenset(k for k, c in enumerate(processed) if _dot(c, r) == ZERO)
-                for r in rays
-            ]
-            keep = [r for r, v in zip(rays, vals) if v >= ZERO]
-            new = []
-            for ip, rp in enumerate(rays):
-                if vals[ip] <= ZERO:
+            for ineg in negative:
+                common = zp & zero_sets[ineg]
+                # Adjacent rays of a pointed dim-dimensional cone share at
+                # least dim - 2 tight halfspaces; fewer rules the pair out
+                # before the combinatorial test.
+                if common.bit_count() < dim - 2:
                     continue
-                for ineg, rn in enumerate(rays):
-                    if vals[ineg] >= ZERO:
-                        continue
-                    common = zero_sets[ip] & zero_sets[ineg]
-                    adjacent = True
-                    for io, ro in enumerate(rays):
-                        if io in (ip, ineg):
-                            continue
-                        if common <= zero_sets[io]:
-                            adjacent = False
+                # Adjacent iff no third ray is tight wherever both are.
+                holders = 0
+                for zeros in zero_sets:
+                    if common & zeros == common:
+                        holders += 1
+                        if holders > 2:
                             break
-                    if adjacent:
-                        combo = _sub(
-                            _scaled(rn, vals[ip]), _scaled(rp, vals[ineg])
-                        )
-                        new.append(_primitive(combo))
-            rays = list(dict.fromkeys(keep + new))
-        processed.append(a)
+                if holders > 2:
+                    continue
+                rn, vn = items[ineg][0], vals[ineg]
+                combo = linalg.primitive([vp * x - vn * y for x, y in zip(rn, rp)])
+                rays.setdefault(combo, common | bit)
 
     if lineality:
         raise ValueError("cone has nontrivial lineality; polytope input was degenerate")
-    return rays
+    return list(rays)
 
 
 def facet_inequalities(points):
@@ -216,26 +191,29 @@ def facet_inequalities(points):
     n = len(pts)
     centroid = tuple(sum(c[i] for c in coords) / n for i in range(r))
     shifted = [tuple(c[i] - centroid[i] for i in range(r)) for c in coords]
+    c_scale = linalg.common_denominator(centroid)
+    c_ints = linalg.scaled_integers(centroid, c_scale)
 
     # Polar dual: vertices of {y : q . y <= 1 for all shifted q} are the
-    # facets of the original hull.  Homogenize with a slack coordinate s.
-    halfspaces = [tuple(-qi for qi in q) + (ONE,) for q in shifted]
-    halfspaces.append((ZERO,) * r + (ONE,))
+    # facets of the original hull.  Homogenize with a slack coordinate s;
+    # each halfspace is scaled to primitive integers, which keeps the cone.
+    halfspaces = [linalg.primitive(tuple(-qi for qi in q) + (ONE,)) for q in shifted]
+    halfspaces.append((0,) * r + (1,))
     rays = _extreme_rays(halfspaces, r + 1)
 
     facets = []
     seen = set()
     for ray in rays:
         y, s = ray[:-1], ray[-1]
-        if s <= ZERO:
+        if s <= 0:
             raise ValueError("unbounded polar dual; centroid was not interior")
-        u = tuple(v / s for v in y)
-        # u . (coords(p) - centroid) <= 1  becomes  coeffs . p >= bound.
-        lin, offset = to_original(u)
-        bound_shift = ONE + _dot(u, centroid) - offset
+        # u . (coords(p) - centroid) <= 1 with u = y / s  becomes
+        # coeffs . p >= bound.
+        lin, offset = to_original(y, s)
+        bound_shift = ONE + Fraction(_dot(y, c_ints), s * c_scale) - offset
         coeffs = tuple(-c for c in lin)
         bound = -bound_shift
-        key = _primitive(coeffs + (bound,))
+        key = linalg.primitive(coeffs + (bound,))
         if key not in seen:
             seen.add(key)
             facets.append((coeffs, bound))

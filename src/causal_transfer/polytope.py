@@ -13,9 +13,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from math import gcd
 
-from . import hull
+from . import hull, linalg
 from .rationals import as_fraction, format_fraction
 from .simplex import FarkasCertificate, solve_equality_feasibility
 from .stochastic import TransferDistribution, TransitionTable, transitions_from_transfers
@@ -441,15 +440,7 @@ class DerivedInequality:
         coeffs = [c for _, c in items] + [self.bound]
         if self.sense == "<=":
             coeffs = [-c for c in coeffs]
-        denom_lcm = 1
-        for c in coeffs:
-            denom_lcm = denom_lcm * c.denominator // gcd(denom_lcm, c.denominator)
-        ints = [int(c * denom_lcm) for c in coeffs]
-        g = 0
-        for v in ints:
-            g = gcd(g, abs(v))
-        g = g or 1
-        ints = [v // g for v in ints]
+        ints = linalg.primitive(coeffs)
         return (
             tuple((sym, ints[k]) for k, (sym, _) in enumerate(items)),
             ints[-1],
@@ -485,28 +476,6 @@ class _Affine:
     def __init__(self, terms=None, const=ZERO):
         self.terms = dict(terms or {})
         self.const = const
-
-    def copy(self):
-        return _Affine(self.terms, self.const)
-
-    def scale(self, factor):
-        if factor == ONE:
-            return self
-        self.terms = {s: c * factor for s, c in self.terms.items()}
-        self.const *= factor
-        return self
-
-    def sub_scaled(self, other, factor):
-        if factor == ZERO:
-            return self
-        for s, c in other.terms.items():
-            self.terms[s] = self.terms.get(s, ZERO) - c * factor
-        self.const -= other.const * factor
-        return self
-
-    def cleaned(self):
-        self.terms = {s: c for s, c in self.terms.items() if c != ZERO}
-        return self
 
 
 def _preprocess(problem: ConsistencyProblem):
@@ -594,39 +563,40 @@ def restricted_vertices(problem: ConsistencyProblem):
 def _solve_block(rows, n_classes):
     """Gauss-Jordan over class probabilities with affine right-hand sides.
 
-    rows: list of (coefficient list, _Affine).  Returns {class index:
-    affine expression} for the uniquely determined classes.
+    rows: list of (coefficient list, _Affine).  Each row is brought to
+    integers with its right-hand side as extra columns (one per symbol,
+    then the constant) and pivoted fraction-free, column by column on the
+    first unused row.  Returns {class index: affine expression} for the
+    uniquely determined classes.
     """
-    work = [([c for c in coeffs], rhs.copy()) for coeffs, rhs in rows]
+    symbols = sorted({s for _, rhs in rows for s in rhs.terms})
+    work = [
+        linalg.primitive(
+            list(coeffs) + [rhs.terms.get(s, ZERO) for s in symbols] + [rhs.const]
+        )
+        for coeffs, rhs in rows
+    ]
     pivot_rows: dict[int, int] = {}
-    used = set()
+    d = 1
     for col in range(n_classes):
         pr = next(
             (
                 k
-                for k, (coeffs, _) in enumerate(work)
-                if k not in used and coeffs[col] != ZERO
+                for k, row in enumerate(work)
+                if row[col] and k not in pivot_rows.values()
             ),
             None,
         )
         if pr is None:
             continue
-        coeffs, rhs = work[pr]
-        inv = coeffs[col]
-        work[pr] = ([c / inv for c in coeffs], rhs.scale(ONE / inv))
-        for k, (other, other_rhs) in enumerate(work):
-            if k != pr and other[col] != ZERO:
-                factor = other[col]
-                new = [c - factor * p for c, p in zip(other, work[pr][0])]
-                other_rhs.sub_scaled(work[pr][1], factor)
-                work[k] = (new, other_rhs)
+        d = linalg.pivot(work, pr, col, d)
         pivot_rows[col] = pr
-        used.add(pr)
     determined = {}
     for col, pr in pivot_rows.items():
-        coeffs, rhs = work[pr]
-        if all(c == ZERO for k, c in enumerate(coeffs) if k != col):
-            determined[col] = rhs.cleaned()
+        row = work[pr]
+        if all(c == 0 for k, c in enumerate(row[:n_classes]) if k != col):
+            terms = {s: Fraction(v, d) for s, v in zip(symbols, row[n_classes:]) if v}
+            determined[col] = _Affine(terms, Fraction(row[-1], d))
     return determined
 
 

@@ -1,16 +1,21 @@
-"""Exact rational LP feasibility with Farkas certificates.
+"""Exact LP feasibility with Farkas certificates.
 
-Solves systems A x = b, x >= 0 over fractions.Fraction using a phase-one
-simplex with Bland's rule (anti-cycling, fully deterministic).  A feasible
-system yields a basic feasible point; an infeasible one yields a dual
-vector y with y.A <= 0 and y.b > 0, which certifies infeasibility by a
-single exact evaluation, independent of the solver run.
+Solves systems A x = b, x >= 0 over rationals using a phase-one simplex
+with Bland's rule (anti-cycling, fully deterministic).  The tableau is
+kept fraction-free: denominators are cleared with one common scale, and
+integer rows over a single running denominator are pivoted with
+linalg.pivot.  A feasible system yields a basic feasible point; an
+infeasible one yields a dual vector y with y.A <= 0 and y.b > 0, which
+certifies infeasibility by a single exact evaluation, independent of the
+solver run.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+
+from . import linalg
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -55,79 +60,69 @@ def solve_equality_feasibility(
     """
     m = len(rows)
     n = len(rows[0]) if m else 0
-    # Sign-normalize; remember flips so the certificate speaks about the
-    # original rows.
-    sign = [ONE] * m
-    a = [list(row) for row in rows]
-    b = list(rhs)
-    for r in range(m):
-        if b[r] < ZERO:
-            sign[r] = -ONE
-            a[r] = [-v for v in a[r]]
-            b[r] = -b[r]
-
     if m == 0:
         return SimplexResult(True, (ZERO,) * n, None)
 
-    # Tableau columns: n original variables then m artificials, plus rhs.
-    tableau = [a[r] + [ONE if c == r else ZERO for c in range(m)] + [b[r]] for r in range(m)]
-    basis = [n + r for r in range(m)]
-    # Objective: minimize the sum of artificials.  Reduced-cost row for the
-    # starting basis: z_j - c_j = sum of column j over rows (artificials
-    # cost 1, original variables cost 0).
-    obj = [ZERO] * (n + m + 1)
-    for r in range(m):
-        for c in range(n + m + 1):
-            obj[c] += tableau[r][c]
-    for c in range(n, n + m):
-        obj[c] -= ONE
-
+    # One scale for the whole system: scaling all rows alike scales every
+    # artificial alike, so the phase-one objective, the pivot path and the
+    # dual y are those of the rational system.  Sign-normalize, and
+    # remember the flips so the certificate speaks about the original rows.
+    scale = linalg.common_denominator([v for row in rows for v in row] + list(rhs))
+    sign = [-1 if b < 0 else 1 for b in rhs]
     total = n + m
+    tableau = []
+    for r in range(m):
+        row = linalg.scaled_integers(list(rows[r]) + [rhs[r]], scale)
+        if sign[r] < 0:
+            row = [-v for v in row]
+        artificial = [0] * m
+        artificial[r] = 1
+        tableau.append(row[:n] + artificial + row[n:])
+    # Objective row last: reduced costs z_j - c_j of minimizing the sum of
+    # artificials from the starting basis, i.e. column sums minus the unit
+    # cost of each artificial.
+    obj = [sum(col) for col in zip(*tableau)]
+    for c in range(n, total):
+        obj[c] = 0
+    tableau.append(obj)
+    basis = [n + r for r in range(m)]
+    d = 1  # the tableau stands for tableau / d
+
     while True:
-        entering = next((c for c in range(total) if obj[c] > ZERO), None)
+        obj = tableau[m]
+        entering = next((c for c in range(total) if obj[c] > 0), None)
         if entering is None:
             break
-        # Ratio test; Bland tie-break on the smallest basis variable index.
+        # Ratio test by cross-multiplication; Bland tie-break on the
+        # smallest basis variable index.
         leaving = None
-        best = None
         for r in range(m):
             coeff = tableau[r][entering]
-            if coeff > ZERO:
-                ratio = tableau[r][total] / coeff
-                if best is None or ratio < best or (
-                    ratio == best and basis[r] < basis[leaving]
-                ):
-                    best = ratio
+            if coeff > 0:
+                if leaving is None:
+                    leaving = r
+                    continue
+                ratio = tableau[r][total] * tableau[leaving][entering]
+                best = tableau[leaving][total] * coeff
+                if ratio < best or (ratio == best and basis[r] < basis[leaving]):
                     leaving = r
         if leaving is None:
             raise RuntimeError("phase-one objective is bounded; this cannot happen")
-        pivot = tableau[leaving][entering]
-        tableau[leaving] = [v / pivot for v in tableau[leaving]]
-        for r in range(m):
-            if r != leaving and tableau[r][entering] != ZERO:
-                factor = tableau[r][entering]
-                tableau[r] = [
-                    v - factor * p for v, p in zip(tableau[r], tableau[leaving])
-                ]
-        if obj[entering] != ZERO:
-            factor = obj[entering]
-            obj = [v - factor * p for v, p in zip(obj, tableau[leaving])]
+        d = linalg.pivot(tableau, leaving, entering, d)
         basis[leaving] = entering
 
-    artificial_mass = sum(
-        tableau[r][total] for r in range(m) if basis[r] >= n
-    )
-    if artificial_mass == ZERO:
+    if all(tableau[r][total] == 0 for r in range(m) if basis[r] >= n):
         x = [ZERO] * n
         for r, var in enumerate(basis):
             if var < n:
-                x[var] = tableau[r][total]
+                x[var] = Fraction(tableau[r][total], d)
         return SimplexResult(True, tuple(x), None)
 
     # Infeasible: read the dual y off the final reduced costs of the
     # artificial columns (z_j - c_j = y_r - 1 for artificial r), then undo
     # the sign normalization.
-    y = [(obj[n + r] + ONE) * sign[r] for r in range(m)]
+    obj = tableau[m]
+    y = [(Fraction(obj[n + r], d) + ONE) * sign[r] for r in range(m)]
     cert = FarkasCertificate(tuple(y))
     if not cert.verify(rows, rhs):
         raise RuntimeError("internal error: Farkas certificate failed verification")

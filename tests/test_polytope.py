@@ -329,6 +329,43 @@ class TestDerivation:
             for _, point in ct.restricted_vertices(local):
                 assert evaluate_point(q, point) >= 0
 
+    def test_three_setting_local_polytope_has_684_facets(self):
+        # Collins & Gisin 2004: the locality-only polytope with three
+        # two-outcome settings per party has 684 facets, in three classes:
+        # 36 positivity, 72 CHSH and 576 I3322.
+        table = ct.singlet_table((0.0, math.pi / 3, 2 * math.pi / 3))
+        layout = table.layout
+        local = ct.restrict_to_local(
+            ct.build_consistency_problem(table), ct.bell_partition()
+        )
+        derived = ct.derive_inequalities(local, method="facets")
+        assert len(derived) == 684
+        assert len({q.normalized() for q in derived}) == 684
+        # The 64 deterministic local behaviours, enumerated here from the
+        # two parties' sign strings, each as its set of symbols (i, j)
+        # with probability 1.
+        vertices = []
+        for signs_a in product((0, 1), repeat=3):
+            for signs_b in product((0, 1), repeat=3):
+                vertex = set()
+                for i in range(layout.n_inputs):
+                    x, y = layout.decode_input(i)
+                    vertex.add((i, layout.encode_output((signs_a[x], signs_b[y]))))
+                vertices.append(vertex)
+        assert len(vertices) == 64
+        tight_counts = {}
+        for q in derived:
+            terms, bound = q.normalized()
+            slacks = [
+                sum(c for sym, c in terms if sym in vertex) - bound for vertex in vertices
+            ]
+            assert min(slacks) >= 0
+            tight = slacks.count(0)
+            # a facet of the 15-dimensional polytope
+            assert tight >= 15
+            tight_counts[tight] = tight_counts.get(tight, 0) + 1
+        assert tight_counts == {48: 36, 32: 72, 20: 576}
+
 
 class TestExpectationValue:
     def test_quarter_probability_gives_zero(self):

@@ -1,5 +1,12 @@
+import math
 from fractions import Fraction
 
+import pytest
+from hypothesis import given, settings, strategies as st
+from reference_simplex import reference_solve
+
+import causal_transfer as ct
+from causal_transfer import stochastic
 from causal_transfer.simplex import solve_equality_feasibility
 
 F = Fraction
@@ -82,3 +89,82 @@ def test_fractional_data():
     res = check(rows, rhs)
     assert res.feasible
     assert all(v == 0 for v in residual(rows, rhs, res.point))
+
+
+# ---------------------------------------------------------------------------
+# Differential checks: the Fraction reference tableau and a float LP.
+
+
+small_rationals = st.builds(F, st.integers(-4, 4), st.integers(1, 3))
+
+
+@st.composite
+def rational_systems(draw):
+    m = draw(st.integers(1, 4))
+    n = draw(st.integers(1, 5))
+    rows = [draw(st.lists(small_rationals, min_size=n, max_size=n)) for _ in range(m)]
+    if draw(st.booleans()):
+        # feasible by construction: the image of a nonnegative point
+        x = draw(st.lists(st.builds(F, st.integers(0, 3), st.integers(1, 2)),
+                          min_size=n, max_size=n))
+        rhs = [sum(a * xi for a, xi in zip(row, x)) for row in rows]
+    else:
+        rhs = draw(st.lists(small_rationals, min_size=m, max_size=m))
+    return rows, rhs
+
+
+@settings(max_examples=300, deadline=None)
+@given(rational_systems())
+def test_identical_to_fraction_reference(system):
+    rows, rhs = system
+    res = solve_equality_feasibility(rows, rhs)
+    assert res == reference_solve(rows, rhs)
+    values = res.point if res.feasible else res.certificate.y
+    assert all(type(v) is F for v in values)
+
+
+@settings(max_examples=150, deadline=None)
+@given(rational_systems())
+def test_verdict_matches_float_lp(system):
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    rows, rhs = system
+    res = solve_equality_feasibility(rows, rhs)
+    lp = linprog(
+        c=[0.0] * len(rows[0]),
+        A_eq=[[float(v) for v in row] for row in rows],
+        b_eq=[float(b) for b in rhs],
+        bounds=(0, None),
+        method="highs",
+    )
+    assert lp.status in (0, 2)  # solved, or proven infeasible
+    assert res.feasible == (lp.status == 0)
+
+
+def noisy_singlet(visibility):
+    """The 3-setting singlet at (0, pi/3, 2pi/3) mixed with white noise."""
+    table = ct.singlet_table((0.0, math.pi / 3, 2 * math.pi / 3))
+    uniform = F(1, table.layout.n_outputs)
+    rows = tuple(
+        tuple(visibility * p + (1 - visibility) * uniform for p in row)
+        for row in table.rows
+    )
+    return stochastic.TransitionTable(table.layout, rows)
+
+
+def test_pinned_witness_at_visibility_16_20():
+    report = ct.certify_weak_signal(noisy_singlet(F(16, 20)), ct.bell_partition())
+    assert not report.weak_signal
+    assert report.feasibility.witness.weights == {
+        0: F(3, 20), 4203: F(3, 20), 23535: F(3, 20), 73425: F(1, 20),
+        188718: F(1, 20), 238608: F(3, 20), 257940: F(3, 20), 262143: F(3, 20),
+    }
+
+
+def test_pinned_certificate_at_visibility_18_20():
+    report = ct.certify_weak_signal(noisy_singlet(F(18, 20)), ct.bell_partition())
+    assert report.weak_signal
+    minus_nine = {5, 6, 8, 11, 17, 22, 30, 33}
+    assert report.certificate.y == tuple(
+        F(-9) if k in minus_nine else F(1) for k in range(37)
+    )
+    assert report.feasibility.verify()
